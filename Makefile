@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race lint bench benchjson trace-smoke verify-smoke serve-smoke soak-smoke loadgen chaos fuzz check clean
+.PHONY: all vet build test race lint bench bench-test benchjson trace-smoke verify-smoke serve-smoke soak-smoke loadgen chaos fuzz check clean
 
 all: check
 
@@ -35,6 +35,13 @@ lint:
 # output; pipe through benchstat externally if you want summaries.
 bench:
 	$(GO) test -bench . -benchmem -count=3 -run '^$$' .
+
+# The repository benchmark's own tests: bench/ is a separate module, so
+# `go test ./...` at the root never reaches them. They run the -quick
+# end-to-end pass of every workload against an in-process layoutd and the
+# golden Stats gate, so a change to the server they drive is caught here.
+bench-test:
+	$(GO) -C bench test ./...
 
 # Regenerate the committed benchmark trajectory. `make benchjson PR=4`
 # writes BENCH_4.json; without PR= the tool overwrites the highest-numbered
@@ -93,7 +100,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzCheckDifferential -fuzztime $(FUZZTIME) ./internal/fault/
 
-check: vet build test race lint trace-smoke verify-smoke serve-smoke soak-smoke
+check: vet build test race lint bench-test trace-smoke verify-smoke serve-smoke soak-smoke
 
 clean:
 	$(GO) clean ./...

@@ -2,7 +2,9 @@
 // (see DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
 // output). With no flags it prints all tables; -only selects experiments by
 // id prefix (e.g. -only E4,E8). The experiment list comes from
-// experiments.Registry().
+// experiments.Registry(). It exits 1 when any table it ran recorded a
+// failure (a build that errored or a layout that failed verification),
+// after printing every table.
 package main
 
 import (
@@ -90,6 +92,7 @@ func main() {
 		filters = strings.Split(*only, ",")
 	}
 	matched := false
+	var ran []*experiments.Table
 	for _, e := range all {
 		if len(filters) > 0 {
 			ok := false
@@ -107,6 +110,7 @@ func main() {
 		sp := obsv.StartSpan("experiment/" + e.ID)
 		tab := e.Run()
 		sp.End()
+		ran = append(ran, tab)
 		if *format == "csv" {
 			fmt.Printf("# %s — %s\n%s\n", tab.ID, tab.Title, tab.CSV())
 		} else {
@@ -123,4 +127,19 @@ func main() {
 	if err := traceDone(); err != nil {
 		cli.Failf("%v", err)
 	}
+	if failed := failures(ran); len(failed) > 0 {
+		cli.Failf("paperbench: %d failed experiment steps:\n%s", len(failed), strings.Join(failed, "\n"))
+	}
+}
+
+// failures lists every failure the tables recorded, each prefixed with its
+// table's ID; paperbench exits non-zero exactly when the list is non-empty.
+func failures(tabs []*experiments.Table) []string {
+	var out []string
+	for _, t := range tabs {
+		for _, f := range t.Failures {
+			out = append(out, t.ID+": "+f)
+		}
+	}
+	return out
 }

@@ -44,12 +44,12 @@ func E17Compaction() *Table {
 	for _, c := range cases {
 		before, err := core.Plan(c.spec)
 		if err != nil {
-			t.Note("plan failed %s: %v", c.name, err)
+			t.Fail("plan failed %s: %v", c.name, err)
 			continue
 		}
 		after, err := core.Plan(core.CompactTracks(c.spec))
 		if err != nil {
-			t.Note("compact plan failed %s: %v", c.name, err)
+			t.Fail("compact plan failed %s: %v", c.name, err)
 			continue
 		}
 		changed := "no"

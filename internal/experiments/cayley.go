@@ -34,7 +34,7 @@ func E15Cayley() *Table {
 		for _, l := range []int{2, 4, 8} {
 			lay, err := f.build(f.n, l, 0, 0)
 			if err != nil {
-				t.Note("build failed %s L=%d: %v", f.name, l, err)
+				t.Fail("build failed %s L=%d: %v", f.name, l, err)
 				continue
 			}
 			st := checkedStats(t, lay)

@@ -21,7 +21,7 @@ func E6Butterfly() *Table {
 		for _, l := range []int{2, 4, 8} {
 			lay, err := cluster.Butterfly(m, l, 0, 0)
 			if err != nil {
-				t.Note("build failed m=%d L=%d: %v", m, l, err)
+				t.Fail("build failed m=%d L=%d: %v", m, l, err)
 				continue
 			}
 			st := checkedStats(t, lay)
@@ -55,7 +55,7 @@ func E7SwapNetworks() *Table {
 		for _, l := range []int{2, 4, 8} {
 			lay, err := cluster.HSN(lvl, r, l, 0, 0, nil)
 			if err != nil {
-				t.Note("HSN build failed lvl=%d r=%d L=%d: %v", lvl, r, l, err)
+				t.Fail("HSN build failed lvl=%d r=%d L=%d: %v", lvl, r, l, err)
 				continue
 			}
 			st := checkedStats(t, lay)
@@ -71,7 +71,7 @@ func E7SwapNetworks() *Table {
 	for _, lm := range [][2]int{{2, 3}, {3, 2}} {
 		lay, err := cluster.HHN(lm[0], lm[1], 4, 0, 0)
 		if err != nil {
-			t.Note("HHN build failed: %v", err)
+			t.Fail("HHN build failed: %v", err)
 			continue
 		}
 		st := checkedStats(t, lay)
@@ -85,7 +85,7 @@ func E7SwapNetworks() *Table {
 		bf, err1 := cluster.Butterfly(m, 4, 0, 0)
 		isn, err2 := cluster.ISN(m, 4, 0, 0)
 		if err1 != nil || err2 != nil {
-			t.Note("ISN/butterfly build failed m=%d: %v %v", m, err1, err2)
+			t.Fail("ISN/butterfly build failed m=%d: %v %v", m, err1, err2)
 			continue
 		}
 		bs, is := bf.Stats(), isn.Stats()
@@ -118,7 +118,7 @@ func E9CCC() *Table {
 		for _, l := range []int{2, 4, 8} {
 			lay, err := cluster.CCC(n, l, 0, 0)
 			if err != nil {
-				t.Note("CCC build failed n=%d L=%d: %v", n, l, err)
+				t.Fail("CCC build failed n=%d L=%d: %v", n, l, err)
 				continue
 			}
 			st := checkedStats(t, lay)
@@ -131,7 +131,7 @@ func E9CCC() *Table {
 	for _, nl := range [][2]int{{4, 2}, {4, 4}, {8, 2}} {
 		lay, err := cluster.ReducedHypercube(nl[0], nl[1], 0, 0)
 		if err != nil {
-			t.Note("RH build failed: %v", err)
+			t.Fail("RH build failed: %v", err)
 			continue
 		}
 		st := checkedStats(t, lay)
@@ -155,14 +155,14 @@ func E11PNCluster() *Table {
 	for _, l := range []int{2, 4} {
 		base, err := core.KAryNCube(4, 4, l, false, 0, 0)
 		if err != nil {
-			t.Note("base build failed: %v", err)
+			t.Fail("base build failed: %v", err)
 			continue
 		}
 		bs := base.Stats()
 		for _, c := range []int{2, 4, 8} {
 			lay, err := cluster.KAryClusterC(4, 4, c, l, 0, 0)
 			if err != nil {
-				t.Note("cluster build failed c=%d: %v", c, err)
+				t.Fail("cluster build failed c=%d: %v", c, err)
 				continue
 			}
 			st := checkedStats(t, lay)

@@ -26,6 +26,10 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	// Failures lists the steps that did not complete: a build that errored
+	// or a layout that failed verification, each missing its row. A table
+	// with failures is not a result, and paperbench exits non-zero on one.
+	Failures []string
 }
 
 // Add appends a row of cells, formatting each with %v.
@@ -47,6 +51,11 @@ func (t *Table) Note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
+// Fail records a failed step, printed under the table after the notes.
+func (t *Table) Fail(format string, args ...any) {
+	t.Failures = append(t.Failures, fmt.Sprintf(format, args...))
+}
+
 func fmtF(v float64) string {
 	switch {
 	case v == 0:
@@ -60,8 +69,8 @@ func fmtF(v float64) string {
 	}
 }
 
-// CSV renders the table as RFC-4180-ish CSV (header row first; notes are
-// omitted). Cells containing commas or quotes are quoted.
+// CSV renders the table as RFC-4180-ish CSV (header row first; notes and
+// failures are omitted). Cells containing commas or quotes are quoted.
 func (t *Table) CSV() string {
 	var b strings.Builder
 	esc := func(c string) string {
@@ -122,6 +131,9 @@ func (t *Table) String() string {
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
+	}
+	for _, f := range t.Failures {
+		fmt.Fprintf(&b, "failure: %s\n", f)
 	}
 	return b.String()
 }

@@ -1,20 +1,22 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"mlvlsi/internal/grid"
+	"mlvlsi/internal/layout"
 )
 
-// noFailures asserts a table has rows and no embedded failure notes.
+// noFailures asserts a table has rows and recorded no failures.
 func noFailures(t *testing.T, tab *Table) {
 	t.Helper()
 	if len(tab.Rows) == 0 {
 		t.Fatalf("%s: no rows", tab.ID)
 	}
-	for _, n := range tab.Notes {
-		if strings.Contains(n, "FAILED") || strings.Contains(n, "failed") {
-			t.Errorf("%s: %s", tab.ID, n)
-		}
+	for _, f := range tab.Failures {
+		t.Errorf("%s: %s", tab.ID, f)
 	}
 }
 
@@ -84,6 +86,31 @@ func TestBaselineExperimentsRun(t *testing.T) {
 		E10FoldedEnhanced(), E12Baselines(), E13LowerBounds(), E14WireDelay(),
 	} {
 		noFailures(t, tab)
+	}
+}
+
+// TestUnfinishedStepsAreFailures: a verifier that errors instead of
+// returning violations, and an E13 build that errors, each record a table
+// failure rather than dropping the row silently.
+func TestUnfinishedStepsAreFailures(t *testing.T) {
+	tab := &Table{ID: "T"}
+	failVerify(tab, "clean", nil, nil)
+	if len(tab.Failures) != 0 {
+		t.Fatalf("a clean verify recorded %v", tab.Failures)
+	}
+	failVerify(tab, "panicked", nil, errors.New("worker panic"))
+	failVerify(tab, "illegal", []grid.Violation{{}}, nil)
+	lowerBoundRow(tab, "unbuildable", 2, 4, func() (*layout.Layout, error) {
+		return nil, errors.New("no such layout")
+	})
+	if len(tab.Failures) != 3 || len(tab.Rows) != 0 {
+		t.Fatalf("failures %q, rows %v: want the verify error, the violation and the build error, no rows",
+			tab.Failures, tab.Rows)
+	}
+	for i, want := range []string{"VERIFY ERROR panicked", "VERIFY FAILED illegal", "build failed unbuildable L=2"} {
+		if !strings.Contains(tab.Failures[i], want) {
+			t.Errorf("failure %d = %q, want it to mention %q", i, tab.Failures[i], want)
+		}
 	}
 }
 
@@ -170,4 +197,18 @@ func TestE18GenericRuns(t *testing.T) {
 func TestE19WireDistributionRuns(t *testing.T) {
 	tab := E19WireDistribution()
 	noFailures(t, tab)
+}
+
+// TestFailKeptApartFromNotes: a failure lands in Failures, not Notes, and
+// the text rendering prints it under the notes.
+func TestFailKeptApartFromNotes(t *testing.T) {
+	tab := &Table{ID: "EX", Header: []string{"a"}}
+	tab.Note("context")
+	tab.Fail("build failed L=%d: %v", 4, "boom")
+	if len(tab.Notes) != 1 || len(tab.Failures) != 1 || tab.Failures[0] != "build failed L=4: boom" {
+		t.Fatalf("notes %q failures %q", tab.Notes, tab.Failures)
+	}
+	if out := tab.String(); !strings.HasSuffix(out, "note: context\nfailure: build failed L=4: boom\n") {
+		t.Fatalf("rendering does not end with the note then the failure:\n%s", out)
+	}
 }

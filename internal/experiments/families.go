@@ -23,14 +23,25 @@ const verifyLimit = 1100
 var VerifyMemBytes int
 
 // checkedStats verifies the layout when it is small enough and returns its
-// stats; verification failures are reported in the table notes.
+// stats; verification failures are recorded as table failures.
 func checkedStats(t *Table, lay *layout.Layout) layout.Stats {
 	if len(lay.Nodes) <= verifyLimit {
-		if v, _ := lay.VerifyOpts(nil, grid.CheckOptions{TileBytes: VerifyMemBytes}); len(v) > 0 {
-			t.Note("VERIFY FAILED %s: %v", lay.Name, v[0])
-		}
+		v, err := lay.VerifyOpts(nil, grid.CheckOptions{TileBytes: VerifyMemBytes})
+		failVerify(t, lay.Name, v, err)
 	}
 	return lay.Stats()
+}
+
+// failVerify records a verification that did not pass as a table failure:
+// a verifier error (a worker panic, a tiled-rung error under -verify-mem),
+// or else the first violation found.
+func failVerify(t *Table, name string, v []grid.Violation, err error) {
+	switch {
+	case err != nil:
+		t.Fail("VERIFY ERROR %s: %v", name, err)
+	case len(v) > 0:
+		t.Fail("VERIFY FAILED %s: %v", name, v[0])
+	}
 }
 
 // E4KAryNCube regenerates §3.1: k-ary n-cube multilayer layouts versus the
@@ -48,13 +59,13 @@ func E4KAryNCube() *Table {
 		for _, l := range []int{2, 3, 4, 8} {
 			lay, err := core.KAryNCube(k, n, l, false, 0, 0)
 			if err != nil {
-				t.Note("build failed k=%d n=%d L=%d: %v", k, n, l, err)
+				t.Fail("build failed k=%d n=%d L=%d: %v", k, n, l, err)
 				continue
 			}
 			st := checkedStats(t, lay)
 			folded, err := core.KAryNCube(k, n, l, true, 0, 0)
 			if err != nil {
-				t.Note("folded build failed: %v", err)
+				t.Fail("folded build failed: %v", err)
 				continue
 			}
 			fst := folded.Stats()
@@ -97,7 +108,7 @@ func E5GeneralizedHypercube() *Table {
 		for _, l := range []int{2, 4, 5, 8} {
 			lay, err := core.GeneralizedHypercube(radices, l, 0, 0)
 			if err != nil {
-				t.Note("build failed r=%d dims=%d L=%d: %v", r, dims, l, err)
+				t.Fail("build failed r=%d dims=%d L=%d: %v", r, dims, l, err)
 				continue
 			}
 			st := checkedStats(t, lay)
@@ -138,7 +149,7 @@ func E8Hypercube() *Table {
 		for _, l := range []int{2, 3, 4, 8} {
 			lay, err := core.Hypercube(n, l, 0, 0)
 			if err != nil {
-				t.Note("build failed n=%d L=%d: %v", n, l, err)
+				t.Fail("build failed n=%d L=%d: %v", n, l, err)
 				continue
 			}
 			st := checkedStats(t, lay)

@@ -16,7 +16,7 @@ func E1CollinearKAry() *Table {
 		for n := 1; n <= 4; n++ {
 			c := track.KAryNCube(k, n, false)
 			if err := c.Verify(); err != nil {
-				t.Note("VERIFY FAILED k=%d n=%d: %v", k, n, err)
+				t.Fail("VERIFY FAILED k=%d n=%d: %v", k, n, err)
 				continue
 			}
 			paper := track.TrackCountKAry(k, n)
@@ -46,7 +46,7 @@ func E2CollinearComplete() *Table {
 	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 24, 32, 48, 64} {
 		c := track.Complete(n)
 		if err := c.Verify(); err != nil {
-			t.Note("VERIFY FAILED N=%d: %v", n, err)
+			t.Fail("VERIFY FAILED N=%d: %v", n, err)
 			continue
 		}
 		paper := n * n / 4

@@ -51,13 +51,13 @@ func E18GenericVsSpecialized() *Table {
 		for _, l := range []int{2, 4, 8} {
 			gen, err := generic.Layout(c.g, generic.Config{L: l})
 			if err != nil {
-				t.Note("generic build failed %s L=%d: %v", c.g.Name, l, err)
+				t.Fail("generic build failed %s L=%d: %v", c.g.Name, l, err)
 				continue
 			}
 			gs := checkedStats(t, gen)
 			sa, sw, err := c.spec(l)
 			if err != nil {
-				t.Note("specialized build failed %s L=%d: %v", c.g.Name, l, err)
+				t.Fail("specialized build failed %s L=%d: %v", c.g.Name, l, err)
 				continue
 			}
 			t.Add(c.g.Name, c.g.N, l, gs.Area, sa,
@@ -69,7 +69,7 @@ func E18GenericVsSpecialized() *Table {
 		for _, l := range []int{2, 4, 8} {
 			gen, err := generic.Layout(g, generic.Config{L: l})
 			if err != nil {
-				t.Note("generic build failed %s L=%d: %v", g.Name, l, err)
+				t.Fail("generic build failed %s L=%d: %v", g.Name, l, err)
 				continue
 			}
 			gs := checkedStats(t, gen)

@@ -18,7 +18,7 @@ func E16Stack3D() *Table {
 	}
 	add3D := func(name string, flatArea int, s *stack.Layout3D) {
 		if v := s.Verify(); len(v) > 0 {
-			t.Note("VERIFY FAILED %s: %v", s.Name, v[0])
+			t.Fail("VERIFY FAILED %s: %v", s.Name, v[0])
 		}
 		st := s.Stats()
 		t.Add(name, "3-D", st.Boards, s.LayersPerBoard, st.Area, st.Volume,
@@ -27,7 +27,7 @@ func E16Stack3D() *Table {
 	for _, tc := range []struct{ n, l int }{{8, 2}, {8, 4}, {10, 4}} {
 		flat, err := core.Hypercube(tc.n, tc.l, 0, 0)
 		if err != nil {
-			t.Note("flat build failed: %v", err)
+			t.Fail("flat build failed: %v", err)
 			continue
 		}
 		fs := checkedStats(t, flat)
@@ -35,7 +35,7 @@ func E16Stack3D() *Table {
 		for _, nz := range []int{1, 2, 3} {
 			s, err := stack.Hypercube3D(tc.n, nz, tc.l, stack.Knobs{})
 			if err != nil {
-				t.Note("3D build failed nz=%d: %v", nz, err)
+				t.Fail("3D build failed nz=%d: %v", nz, err)
 				continue
 			}
 			add3D(flat.Name, fs.Area, s)
@@ -44,14 +44,14 @@ func E16Stack3D() *Table {
 	for _, tc := range []struct{ k, n, nz, l int }{{4, 3, 1, 4}, {8, 3, 1, 4}} {
 		flat, err := core.KAryNCube(tc.k, tc.n, tc.l, false, 0, 0)
 		if err != nil {
-			t.Note("flat kary build failed: %v", err)
+			t.Fail("flat kary build failed: %v", err)
 			continue
 		}
 		fs := checkedStats(t, flat)
 		t.Add(flat.Name, "2-D", 1, tc.l, fs.Area, fs.Volume, fs.MaxWire, 1.0)
 		s, err := stack.KAryNCube3D(tc.k, tc.n, tc.nz, tc.l, false, stack.Knobs{})
 		if err != nil {
-			t.Note("3D kary build failed: %v", err)
+			t.Fail("3D kary build failed: %v", err)
 			continue
 		}
 		add3D(flat.Name, fs.Area, s)

@@ -20,7 +20,7 @@ func E19WireDistribution() *Table {
 	for _, l := range []int{2, 3, 4, 8} {
 		lay, err := core.Hypercube(9, l, 0, 0)
 		if err != nil {
-			t.Note("build failed L=%d: %v", l, err)
+			t.Fail("build failed L=%d: %v", l, err)
 			continue
 		}
 		d := lay.WireDistribution()

@@ -143,6 +143,21 @@ const (
 	// concurrently in flight (ClassConfig, written with Set — it reflects
 	// the configured ceiling and worker fan-out).
 	TileBytesPeak
+	// VerdictHits counts verifies answered with a verdict another verify
+	// computed: one already stored with the cached layout, or one whose
+	// certification was in flight and was waited for. A verify counts here
+	// only once it holds the verdict: a wait that fails (the leader was shed
+	// or its verifier failed, or the waiter's own ctx ended) counts nothing,
+	// and a waiter that takes over from a canceled leader counts as a miss
+	// (ClassServe).
+	VerdictHits
+	// VerdictMisses counts certifications led: verifies that found no
+	// verdict for their cached layout and went on to take an admission slot
+	// and run the verifier — exactly one per singleflight group, however
+	// many verifies piled onto it. A certification that was shed, canceled
+	// or panicked stores nothing, so the next verify of the key counts again;
+	// so does the first verify after the layout is evicted (ClassServe).
+	VerdictMisses
 
 	numCounters
 )
@@ -217,6 +232,10 @@ func (c Counter) String() string {
 		return "border_edges_reconciled"
 	case TileBytesPeak:
 		return "tile_bytes_peak"
+	case VerdictHits:
+		return "verdict_hits"
+	case VerdictMisses:
+		return "verdict_misses"
 	}
 	return "counter_unknown"
 }
@@ -250,7 +269,7 @@ func (c Counter) Class() Class {
 	case CacheHits, CacheMisses, CacheEvictions, CacheInflightWaits, CacheBytes,
 		QueueDepth, QueueMaxDepth, ShedQueueFull, ShedDeadline, ShedDraining,
 		DegradedServed, PanicsRecovered, ClientRetries, BreakerOpens, ChaosInjected,
-		ScratchReuses, BatchPipelineStalls:
+		ScratchReuses, BatchPipelineStalls, VerdictHits, VerdictMisses:
 		return ClassServe
 	}
 	return ClassWork

@@ -218,6 +218,8 @@ func TestCounterNamesAndClasses(t *testing.T) {
 		ClientRetries:      ClassServe,
 		BreakerOpens:       ClassServe,
 		ChaosInjected:      ClassServe,
+		VerdictHits:        ClassServe,
+		VerdictMisses:      ClassServe,
 	} {
 		if c.Class() != want {
 			t.Errorf("%s.Class() = %d, want %d", c, c.Class(), want)

@@ -37,7 +37,7 @@ func buildGoldenTrace(t *testing.T) string {
 const golden = `[
 {"name":"placement","cat":"mlvlsi","ph":"X","ts":2,"dur":1,"pid":1,"tid":1,"id":2,"args":{"parent":1}},
 {"name":"build","cat":"mlvlsi","ph":"X","ts":1,"dur":3,"pid":1,"tid":1,"id":1,"args":{"rows":4}},
-{"name":"counters","ph":"C","ts":4,"dur":0,"pid":1,"tid":1,"args":{"batch_pipeline_stalls":0,"border_edges_reconciled":0,"breaker_opens":0,"budget_headroom":0,"cache_bytes":0,"cache_evictions":0,"cache_hits":0,"cache_inflight_waits":0,"cache_misses":0,"cells_allocated":0,"cells_planned":0,"chaos_injected":0,"client_retries":0,"degraded_served":0,"dense_checks":0,"merge_ns":0,"panics_recovered":0,"queue_depth":0,"queue_max_depth":0,"scratch_bytes":0,"scratch_reuses":0,"shed_deadline":0,"shed_draining":0,"shed_queue_full":0,"sparse_checks":0,"tile_bytes_peak":0,"tiled_checks":0,"tiles_checked":0,"unit_edges_checked":0,"wires_realized":12,"worker_count":2}}
+{"name":"counters","ph":"C","ts":4,"dur":0,"pid":1,"tid":1,"args":{"batch_pipeline_stalls":0,"border_edges_reconciled":0,"breaker_opens":0,"budget_headroom":0,"cache_bytes":0,"cache_evictions":0,"cache_hits":0,"cache_inflight_waits":0,"cache_misses":0,"cells_allocated":0,"cells_planned":0,"chaos_injected":0,"client_retries":0,"degraded_served":0,"dense_checks":0,"merge_ns":0,"panics_recovered":0,"queue_depth":0,"queue_max_depth":0,"scratch_bytes":0,"scratch_reuses":0,"shed_deadline":0,"shed_draining":0,"shed_queue_full":0,"sparse_checks":0,"tile_bytes_peak":0,"tiled_checks":0,"tiles_checked":0,"unit_edges_checked":0,"verdict_hits":0,"verdict_misses":0,"wires_realized":12,"worker_count":2}}
 ]
 `
 

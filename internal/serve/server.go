@@ -72,9 +72,10 @@ type Server struct {
 	queue *resilience.Queue
 	mux   *http.ServeMux
 	log   io.Writer
-	// buildFn runs one cache miss; tests substitute failing or panicking
-	// engines here.
-	buildFn BuildFunc
+	// buildFn runs one cache miss and verifyFn one certification; tests
+	// substitute failing or panicking engines here.
+	buildFn  BuildFunc
+	verifyFn VerifyFunc
 	// scratches pools arena build scratches, one slot per admitted
 	// concurrent build (sized by Config.Workers): cache misses draw a warm
 	// scratch and return it after the build. Take never blocks — an empty
@@ -109,6 +110,12 @@ func New(cfg Config) *Server {
 		scratch := s.takeScratch()
 		defer s.putScratch(scratch)
 		return mlvlsi.BuildSpecWith(ctx, req, s.obs, scratch)
+	}
+	s.verifyFn = func(ctx context.Context, req mlvlsi.BuildRequest, lay *mlvlsi.Layout) ([]mlvlsi.Violation, error) {
+		o := req.Options()
+		o.Context = ctx
+		o.Observer = s.obs
+		return mlvlsi.VerifyLayout(lay, o)
 	}
 	s.mux.HandleFunc("/v1/build", s.handleBuild)
 	s.mux.HandleFunc("/v1/build_batch", s.handleBuildBatch)
@@ -407,14 +414,42 @@ func (s *Server) build(ctx context.Context, key string, req mlvlsi.BuildRequest)
 	})
 }
 
-// buildResponse is the /v1/build success body. Degraded marks a response
-// answered with a retained coarser layout (DegradedKey's slot) because the
-// requested build was shed; Key always remains the key the client asked for.
+// certify returns res's verdict through the cache's verdict slot. Like
+// build, it admits inside the miss path: only the request that runs the
+// verifier takes a slot, and it gives the slot back even if the verifier
+// panics. Verdict hits and waits never occupy one.
+func (s *Server) certify(ctx context.Context, req mlvlsi.BuildRequest, res *Result) (*Verdict, Outcome, error) {
+	return s.cache.Certify(ctx, req, res, func(ctx context.Context, req mlvlsi.BuildRequest, lay *mlvlsi.Layout) ([]mlvlsi.Violation, error) {
+		release, err := s.queue.Acquire(ctx, req.Family.Name)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		return s.verifyFn(ctx, req, lay)
+	})
+}
+
+// certified is the "certified" field of a build answer: nil, so the field
+// is omitted, until a verify has certified the key, then the verdict's
+// legality. It points into the stored verdict, so reading it costs one
+// atomic load and no allocation.
+func certified(res *Result) *bool {
+	if v := res.verdict.Load(); v != nil {
+		return &v.Legal
+	}
+	return nil
+}
+
+// buildResponse is the /v1/build success body. Certified is present once a
+// /v1/verify has certified the key. Degraded marks a response answered with
+// a retained coarser layout (DegradedKey's slot) because the requested
+// build was shed; Key always remains the key the client asked for.
 type buildResponse struct {
 	Key         string       `json:"key"`
 	Cache       string       `json:"cache"`
 	Stats       mlvlsi.Stats `json:"stats"`
 	MemBytes    int64        `json:"mem_bytes"`
+	Certified   *bool        `json:"certified,omitempty"`
 	Degraded    bool         `json:"degraded,omitempty"`
 	DegradedKey string       `json:"degraded_key,omitempty"`
 }
@@ -447,10 +482,11 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Cache", out.String())
 	writeJSON(w, http.StatusOK, buildResponse{
-		Key:      key,
-		Cache:    out.String(),
-		Stats:    res.Stats,
-		MemBytes: res.MemBytes,
+		Key:       key,
+		Cache:     out.String(),
+		Stats:     res.Stats,
+		MemBytes:  res.MemBytes,
+		Certified: certified(res),
 	})
 }
 
@@ -467,11 +503,12 @@ type batchRequest struct {
 // fields or an error envelope, mirroring what /v1/build would have answered
 // for the same request — batching changes amortization, never semantics.
 type batchItem struct {
-	Key      string       `json:"key,omitempty"`
-	Cache    string       `json:"cache,omitempty"`
-	Stats    mlvlsi.Stats `json:"stats,omitempty"`
-	MemBytes int64        `json:"mem_bytes,omitempty"`
-	Error    *errorInfo   `json:"error,omitempty"`
+	Key       string       `json:"key,omitempty"`
+	Cache     string       `json:"cache,omitempty"`
+	Stats     mlvlsi.Stats `json:"stats,omitempty"`
+	MemBytes  int64        `json:"mem_bytes,omitempty"`
+	Certified *bool        `json:"certified,omitempty"`
+	Error     *errorInfo   `json:"error,omitempty"`
 }
 
 // batchResponse is the /v1/build_batch success body; Results aligns with
@@ -544,7 +581,7 @@ func (s *Server) batchOne(ctx context.Context, req mlvlsi.BuildRequest) (item ba
 		info := envelope(err)
 		return batchItem{Key: key, Error: &info}
 	}
-	return batchItem{Key: key, Cache: out.String(), Stats: res.Stats, MemBytes: res.MemBytes}
+	return batchItem{Key: key, Cache: out.String(), Stats: res.Stats, MemBytes: res.MemBytes, Certified: certified(res)}
 }
 
 // degraded decides whether a failed build can be answered with a retained
@@ -599,11 +636,15 @@ func degradedCandidates(req mlvlsi.BuildRequest) []mlvlsi.BuildRequest {
 	return out
 }
 
-// verifyResponse is the /v1/verify success body. Violations carry the
-// verifier's formatted findings; Legal is their absence.
+// verifyResponse is the /v1/verify success body. Cache is the layout's
+// cache outcome and Verdict the certification's: MISS when this request ran
+// the verifier, HIT when it read the verdict stored with the cached layout,
+// INFLIGHT when it waited on a concurrent certification. Violations carry
+// the verifier's formatted findings; Legal is their absence.
 type verifyResponse struct {
 	Key        string   `json:"key"`
 	Cache      string   `json:"cache"`
+	Verdict    string   `json:"verdict"`
 	Legal      bool     `json:"legal"`
 	Violations []string `json:"violations,omitempty"`
 }
@@ -620,27 +661,17 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// Verification is engine work too: it takes an admission slot even when
-	// the layout itself was a cache hit.
-	release, err := s.queue.Acquire(ctx, req.Family.Name)
+	v, vout, err := s.certify(ctx, req, res)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	o := req.Options()
-	o.Context = ctx
-	o.Observer = s.obs
-	vs, err := mlvlsi.VerifyLayout(res.Layout, o)
-	release()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := verifyResponse{Key: key, Cache: out.String(), Legal: len(vs) == 0}
-	for _, v := range vs {
-		resp.Violations = append(resp.Violations, v.Error())
+	resp := verifyResponse{Key: key, Cache: out.String(), Verdict: vout.String(), Legal: v.Legal}
+	for _, vio := range v.Violations {
+		resp.Violations = append(resp.Violations, vio.Error())
 	}
 	w.Header().Set("X-Cache", out.String())
+	w.Header().Set("X-Verdict", vout.String())
 	writeJSON(w, http.StatusOK, resp)
 }
 
